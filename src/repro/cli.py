@@ -56,6 +56,7 @@ from repro.experiments.heterogeneous import (
     format_categories,
 )
 from repro.metrics.tables import format_table
+from repro.perf.bench import BENCH_CASES
 
 
 def _add_scale_arguments(parser: argparse.ArgumentParser) -> None:
@@ -259,10 +260,11 @@ def build_parser() -> argparse.ArgumentParser:
         "bench",
         help="run the pinned perf suite and track it in BENCH_speakup.json",
         description=(
-            "Run the pinned three-scale benchmark suite (lan-small, "
-            "tiers-medium, stress-mega), print events/sec plus the hot-path "
-            "counters, and append a dated entry to the tracked results file "
-            "so the performance trajectory accumulates across commits."
+            f"Run the pinned benchmark suite ({len(BENCH_CASES)} cases: "
+            f"{', '.join(case.name for case in BENCH_CASES)}), print "
+            "events/sec plus the hot-path counters, and append a dated entry "
+            "to the tracked results file so the performance trajectory "
+            "accumulates across commits."
         ),
     )
     bench.add_argument("--quick", action="store_true",

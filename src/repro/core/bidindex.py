@@ -18,10 +18,10 @@ where ``slope`` is the in-flight POST's current rate in bytes/second and
 change at discrete, observable moments — the allocator re-rates the flow, a
 POST completes or the quiescent gap ends, a quantum win consumes the
 balance, a channel opens or closes.  All of those moments already notify the
-owning thinner (see :class:`~repro.core.payment.PaymentChannel.on_bid_change`
-and ``Flow.on_rate_change``, which the fluid network fires from its
-flush-driven rate recomputation), so the index is *push-refreshed*: rate
-changes push fresh keys in, queries never pull n bids.
+owning thinner (see :class:`~repro.core.payment.PaymentChannel.on_bid_change`,
+and the rate listener through which the fluid network hands over, once per
+flush, every payment flow it re-rated), so the index is *push-refreshed*:
+rate changes push fresh keys in, queries never pull n bids.
 
 Between refreshes, comparisons are kinetic certificates: two bids with the
 *same* slope never cross, so their order is fixed by the time-independent

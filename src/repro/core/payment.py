@@ -108,12 +108,13 @@ class PaymentChannel:
         self.posts_completed = 0
         self.opened_at: Optional[float] = None
         self.closed_at: Optional[float] = None
-        #: Fired whenever the channel's bid *trajectory* changes — the
-        #: in-flight POST is re-rated by the fluid allocator, a POST
-        #: completes (slope drops to zero for the quiescent gap), a quantum
-        #: win consumes the balance, or the channel closes.  The thinner
-        #: wires this to its kinetic bid index (push-refresh), so auctions
-        #: never have to pull every contender's bid.
+        #: Fired whenever the channel changes its own bid *trajectory* — a
+        #: POST completes (slope drops to zero for the quiescent gap), a
+        #: quantum win consumes the balance, or the channel closes.  The
+        #: thinner wires this to its kinetic bid index (push-refresh), so
+        #: auctions never have to pull every contender's bid.  Re-rates of
+        #: the in-flight POST (whose ``owner`` is this channel) reach the
+        #: thinner in bulk, through the network's rate listeners.
         self.on_bid_change: Optional[Callable[["PaymentChannel"], None]] = None
 
         self._soa = network.soa
@@ -230,16 +231,6 @@ class PaymentChannel:
         if self.on_bid_change is not None:
             self.on_bid_change(self)
 
-    def _rate_changed(self, flow: Flow) -> None:
-        # Fired by the fluid network's flush when it re-rates the in-flight
-        # POST: the bid keeps its value but changes slope.  (The bid-change
-        # notification is inlined — this fires once per re-rate of every
-        # in-flight POST, the hottest callback in the simulator.)
-        if flow is self._flow:
-            callback = self.on_bid_change
-            if callback is not None:
-                callback(self)
-
     def _start_post(self) -> None:
         if self.state != PaymentChannelState.PAYING:
             return
@@ -252,14 +243,13 @@ class PaymentChannel:
             on_complete=self._post_done,
         )
         flow.owner = self
-        flow.on_rate_change = self._rate_changed
         self._flow = flow
         self._soa.cm_flow[self._cid] = flow._fid
         if self.slow_start is not None:
             self.slow_start.attach(flow, self._rtt)
         # No bid-change notification here: the new POST starts at rate zero
         # until the deferred flush assigns it a share, so the trajectory
-        # (value and zero slope) is unchanged until ``_rate_changed`` fires.
+        # (value and zero slope) is unchanged until that flush re-rates it.
 
     def _post_done(self, flow: Flow) -> None:
         if flow is not self._flow:  # pragma: no cover - defensive

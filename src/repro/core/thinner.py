@@ -156,11 +156,13 @@ class ThinnerBase:
         self._owners: Dict[int, ClientProtocol] = {}
         #: Kinetic index over the contenders' bid trajectories; kept in sync
         #: by the ``_add_contender``/``_remove_contender`` pair and refreshed
-        #: by payment-channel ``on_bid_change`` notifications.
+        #: by payment-channel ``on_bid_change`` notifications and, once per
+        #: rate flush, by the network's list of re-rated payment flows.
         self._bid_index = KineticBidIndex(
             self.counters,
             store=network.soa if getattr(network, "vectorized", False) else None,
         )
+        network.add_rate_listener(self._payments_rerated)
         self._next_seq = 0
         self._server_idle = True
         #: Gray-failure admission stall (the ``stall`` fault): a stalled
@@ -283,6 +285,20 @@ class ThinnerBase:
         contender = self._contenders.get(channel.request_id)
         if contender is not None and contender.channel is channel:
             self._bid_index.refresh(contender)
+
+    def _payments_rerated(self, flows: list) -> None:
+        """Rate listener: a flush re-rated these owned flows.
+
+        Every flow's owner is a payment channel (the only owner the network
+        ever sees); the ones registered here mark their contender dirty.
+        """
+        contenders = self._contenders
+        refresh = self._bid_index.refresh
+        for flow in flows:
+            channel = flow.owner
+            contender = contenders.get(channel.request_id)
+            if contender is not None and contender.channel is channel:
+                refresh(contender)
 
     # -- the selection contract ---------------------------------------------------------
     #

@@ -295,7 +295,11 @@ def run_case(case: BenchCase, quick: bool = False) -> BenchMeasurement:
     deployment.run(spec.duration)
     wall_s = time.perf_counter() - t_run
 
-    events = deployment.engine.events_processed
+    engine = deployment.engine
+    events = engine.events_processed
+    counters = deployment.network.counters
+    counters.events_scheduled = engine.events_scheduled
+    counters.events_cancelled = engine.events_cancelled
     result = deployment.results()
     return BenchMeasurement(
         case=case.name,
@@ -307,7 +311,7 @@ def run_case(case: BenchCase, quick: bool = False) -> BenchMeasurement:
         events=events,
         events_per_s=events / wall_s if wall_s > 0 else 0.0,
         clients=spec.total_clients(),
-        counters=deployment.network.counters.snapshot(),
+        counters=counters.snapshot(),
         requests_served=result.total_served,
         good_allocation=result.good_allocation,
         peak_rss_kb=peak_rss_kb(),
@@ -489,15 +493,18 @@ def check_regression(
 def format_gauges(measurements: Sequence[BenchMeasurement]) -> List[str]:
     """The measurement-plane gauge lines ``bench --check`` prints.
 
-    ``peak_live_events`` and ``records_emitted`` are machine-independent
-    (the simulator is deterministic per pinned config); ``peak_rss_kb`` is
-    not.  All three are informational — printed, stored, never gated.
+    ``peak_live_events``, ``records_emitted`` and ``pushes_per_event``
+    (engine heap pushes per processed event) are machine-independent (the
+    simulator is deterministic per pinned config); ``peak_rss_kb`` is not.
+    All four are informational — printed, stored, never gated.
     """
     lines = []
     for m in measurements:
+        pushes = m.counters.get("events_scheduled", 0) / m.events if m.events else 0.0
         lines.append(
             f"{m.case}: peak_live_events={m.counters.get('peak_live_events', 0)} "
             f"records_emitted={m.counters.get('records_emitted', 0)} "
+            f"pushes_per_event={pushes:.2f} "
             f"peak_rss_kb={m.peak_rss_kb}"
         )
     return lines

@@ -46,6 +46,17 @@ The measurement plane adds two gauges (machine-independent, surfaced in
 * ``records_emitted``   — telemetry samples routed into the rollup
   collector (zero in full mode, where per-request lists are kept
   instead).
+
+Two more record the engine's own work, copied from
+:attr:`~repro.simnet.engine.Engine.events_scheduled` and
+:attr:`~repro.simnet.engine.Engine.events_cancelled` when the bench harness
+snapshots a run (the engine keeps the running counts):
+
+* ``events_scheduled``  — events pushed onto the engine's heap.
+  ``events_scheduled / events`` (heap pushes per processed event) is the
+  machine-independent price of the event stream; the network's completion
+  calendar keeps it near 1;
+* ``events_cancelled``  — queued events cancelled before they fired.
 """
 
 from __future__ import annotations
@@ -71,6 +82,8 @@ class SimCounters:
         "engagement_switches",
         "peak_live_events",
         "records_emitted",
+        "events_scheduled",
+        "events_cancelled",
     )
 
     def __init__(self) -> None:
@@ -92,6 +105,8 @@ class SimCounters:
         self.engagement_switches = 0
         self.peak_live_events = 0
         self.records_emitted = 0
+        self.events_scheduled = 0
+        self.events_cancelled = 0
 
     def snapshot(self) -> Dict[str, int]:
         """The counters as a plain dict (JSON-ready)."""

@@ -17,6 +17,17 @@ Two hot-path design points:
   outnumber live ones (heap-compaction), the queue is rebuilt in place —
   see :attr:`Engine.COMPACT_MIN_QUEUE` for the exact policy.
 
+Deterministic ordering is a contract on the ``(time, seq)`` key alone, so a
+component that manages many future callbacks itself can reserve sequence
+numbers up front (:meth:`Engine.reserve_seqs`) and later push a single event
+at a reserved key (:meth:`Engine.schedule_at_seq`).  The fluid network's
+completion calendar does this: it keeps every flow's ``(eta, seq)`` in its
+own columns and holds one engine event for the earliest, which therefore
+fires exactly where the flow's own event would have.  The engine counts heap
+pushes and cancellations (:attr:`Engine.events_scheduled`,
+:attr:`Engine.events_cancelled`); reserved keys that never reach the heap
+count in neither.
+
 The engine also hosts the *flush hook* protocol used by the fluid network's
 deferred rate recomputation: components register a callback via
 :meth:`Engine.add_flush_callback` and arm it with :meth:`Engine.request_flush`
@@ -63,8 +74,7 @@ class Event:
         self.cancelled = True
         engine = self._engine
         if engine is not None:
-            # ``Engine._note_cancelled``, inlined: cancellation sits on the
-            # completion-reschedule hot path.
+            engine._cancels += 1
             engine._cancelled_in_queue += 1
             if (
                 len(engine._queue) >= engine.COMPACT_MIN_QUEUE
@@ -98,6 +108,9 @@ class Engine:
         #: Heap of ``(time, seq, Event)`` entries; see the module docstring.
         self._queue: list = []
         self._seq = 0
+        #: Heap pushes and cancellations (see the module docstring).
+        self._pushes = 0
+        self._cancels = 0
         self._running = False
         self._stopped = False
         self._events_processed = 0
@@ -121,6 +134,16 @@ class Engine:
     def events_processed(self) -> int:
         """Number of events that have fired so far."""
         return self._events_processed
+
+    @property
+    def events_scheduled(self) -> int:
+        """Number of events pushed onto the queue so far."""
+        return self._pushes
+
+    @property
+    def events_cancelled(self) -> int:
+        """Number of queued events cancelled before they fired."""
+        return self._cancels
 
     @property
     def pending_events(self) -> int:
@@ -151,15 +174,6 @@ class Engine:
 
     # -- cancellation bookkeeping ----------------------------------------------
 
-    def _note_cancelled(self) -> None:
-        """Called by :meth:`Event.cancel`; compacts the heap when it is mostly dead."""
-        self._cancelled_in_queue += 1
-        if (
-            len(self._queue) >= self.COMPACT_MIN_QUEUE
-            and self._cancelled_in_queue * 2 > len(self._queue)
-        ):
-            self._compact()
-
     def _compact(self) -> None:
         """Drop cancelled events and rebuild the heap in place.
 
@@ -181,6 +195,7 @@ class Engine:
             )
         seq = self._seq
         self._seq = seq + 1
+        self._pushes += 1
         event = Event(time, seq, callback, args, kwargs or None, engine=self)
         heapq.heappush(self._queue, (time, seq, event))
         return event
@@ -190,11 +205,40 @@ class Engine:
         if delay < 0:
             raise SchedulingError(f"delay must be non-negative, got {delay}")
         # ``schedule_at(self._now + delay, ...)``, inlined — this is the
-        # hottest scheduling entry point (completion reschedules).
+        # hottest scheduling entry point.
         time = self._now + delay
         seq = self._seq
         self._seq = seq + 1
+        self._pushes += 1
         event = Event(time, seq, callback, args, kwargs or None, engine=self)
+        heapq.heappush(self._queue, (time, seq, event))
+        return event
+
+    def reserve_seqs(self, count: int = 1) -> int:
+        """Reserve ``count`` consecutive sequence numbers; return the first.
+
+        A reserved number orders exactly like the event
+        :meth:`schedule_at` would have created at this point; pass it to
+        :meth:`schedule_at_seq` to push that event later, or never.
+        """
+        seq = self._seq
+        self._seq = seq + count
+        return seq
+
+    def schedule_at_seq(self, time: float, seq: int, callback: Callable, *args) -> Event:
+        """Schedule ``callback(*args)`` at the exact key ``(time, seq)``.
+
+        ``seq`` must come from :meth:`reserve_seqs`, and no two live events
+        may share it.
+        """
+        if time < self._now:
+            raise SchedulingError(
+                f"cannot schedule event at t={time:.6f}, which is before now={self._now:.6f}"
+            )
+        if not 0 <= seq < self._seq:
+            raise SchedulingError(f"sequence number {seq} was never reserved")
+        self._pushes += 1
+        event = Event(time, seq, callback, args, None, engine=self)
         heapq.heappush(self._queue, (time, seq, event))
         return event
 

@@ -74,8 +74,6 @@ class Flow:
         "started_at",
         "finished_at",
         "on_complete",
-        "on_rate_change",
-        "_completion_event",
         "_path_lids",
         "_path_min_cap",
         "owner",
@@ -114,8 +112,6 @@ class Flow:
         self.started_at: Optional[float] = None
         self.finished_at: Optional[float] = None
         self.on_complete = on_complete
-        self.on_rate_change: Optional[Callable[["Flow"], None]] = None
-        self._completion_event = None
         #: Dense link ids along the path (paired with ``path`` by index);
         #: assigned by the network at attach time, when every path link is
         #: guaranteed to be registered with its store.
@@ -123,7 +119,8 @@ class Flow:
         #: The narrowest capacity along the path.
         self._path_min_cap = min(link.capacity_bps for link in self.path)
         #: Arbitrary back-reference for higher layers (e.g. the payment
-        #: channel that owns this flow).
+        #: channel that owns this flow).  The network hands the owned flows
+        #: it re-rates to its rate listeners once per flush.
         self.owner = None
         #: Struct-of-arrays row id (-1 while detached) and its store.
         self._fid = -1

@@ -2,7 +2,7 @@
 
 :class:`FluidNetwork` owns the set of active flows.  Whenever that set (or a
 flow's private rate cap) changes, bandwidth must be re-shared and the
-completion events of the flows whose rates changed must be rescheduled.
+completion times of the flows whose rates changed must be recomputed.
 Delivered bytes are integrated lazily, per flow, under piecewise-constant
 rates (which makes the integration exact).
 
@@ -18,8 +18,27 @@ clock cannot advance past the change instant before the flush runs: the old
 rates remain valid for the zero simulated seconds they are still in effect.
 Batching collapses the common same-instant chains (a flow start immediately
 followed by its slow-start cap, an auction teardown cascade) into a single
-recomputation and — more importantly — a single round of completion-event
-cancel/reschedule heap traffic.
+recomputation and a single update of the completion calendar.
+
+Completions live in a **calendar**, not in the engine queue.  A bounded
+flow's completion key — its ETA and an engine sequence number reserved
+(:meth:`~repro.simnet.engine.Engine.reserve_seqs`) exactly when a per-flow
+completion event would have been scheduled — sits in two store columns, and
+the network holds **one** engine event, at the earliest key
+(:meth:`~repro.simnet.engine.Engine.schedule_at_seq`).  A re-rate rewrites
+the flow's column entry; at the end of the flush the network moves its event
+only if the earliest key moved.  Every entry keeps the exact ``(time, seq)``
+its own event would have had, so events fire in the same order, the engine
+processes the same number of them, and results are unchanged — while a
+flush that re-rates a whole shared component moves one engine event at
+most, instead of cancelling one and pushing one per flow.  A completion
+that fires but finds bytes left (float residue) keeps its sequence number,
+so only a rate change re-arms it.
+
+Re-rates reach the layers above once per flush as well: the flows with an
+``owner`` whose rate changed are handed, as one list, to every callback
+registered with :meth:`FluidNetwork.add_rate_listener` (each thinner marks
+the matching contenders dirty in its bid index).
 
 Recomputation is also *component-restricted*: most changes (a payment POST
 finishing on one client's uplink, say) can only affect the rates of flows
@@ -32,7 +51,11 @@ potential load can never saturate and never constrains anyone, so the search
 for affected flows only crosses links whose potential load exceeds capacity.
 Rates for the affected component are then recomputed with progressive
 filling; everything outside the component keeps its previous, still-valid
-rate.  The brute-force global computation
+rate.  A single walk over the component's flows and their path links both
+grows the component and extracts what the scalar waterfill needs (the
+constraint links in first-crossing order, each flow's ceiling and crossed
+links); a component wide enough for the array path skips the extraction.
+The brute-force global computation
 (:func:`repro.simnet.bandwidth.max_min_fair_rates`) remains available both
 as a reference for the property-based tests and as an ``incremental=False``
 escape hatch.
@@ -73,7 +96,7 @@ import numpy as np
 from repro.errors import FlowError
 from repro.perf.counters import SimCounters
 from repro.simnet.bandwidth import RATE_EPSILON, max_min_fair_rates, waterfill_lists
-from repro.simnet.engine import Engine
+from repro.simnet.engine import Engine, Event
 from repro.simnet.flow import Flow, FlowState
 from repro.simnet.host import Host
 from repro.simnet.link import Link
@@ -156,6 +179,17 @@ class FluidNetwork:
         self._dirty_pre: Set[int] = set()
         self._dirty_flows: Dict[Flow, None] = {}
         self._rate_cache: "OrderedDict[tuple, object]" = OrderedDict()
+        #: Called once per flush with the owned flows it re-rated.
+        self._rate_listeners: List[Callable[[List[Flow]], None]] = []
+
+        # Completion calendar (see the module docstring): the earliest
+        # entry's key and store row, whether an entry change may have moved
+        # it later (forcing a scan), and the engine event armed at it.
+        self._head_eta = _INF
+        self._head_seq = -1
+        self._head_fid = -1
+        self._head_stale = False
+        self._armed: Optional[Event] = None
 
         self.total_delivered_bytes = 0.0
         self.completed_flows = 0
@@ -198,6 +232,11 @@ class FluidNetwork:
     def rtt(self, a: Host, b: Host) -> float:
         """Round-trip propagation delay between two hosts."""
         return self.topology.rtt(a, b)
+
+    def add_rate_listener(self, callback: Callable[[List[Flow]], None]) -> None:
+        """Call ``callback(flows)`` after each flush that changes the rate of
+        a flow with an ``owner``; ``flows`` lists them in allocation order."""
+        self._rate_listeners.append(callback)
 
     # -- flow construction -------------------------------------------------------
 
@@ -513,10 +552,8 @@ class FluidNetwork:
         flow.state = final_state
         flow.finished_at = self.engine.now
         soa.fm_rate[fid] = 0.0
-        event = flow._completion_event
-        if event is not None:
-            event.cancel()
-            flow._completion_event = None
+        if fid == self._head_fid:
+            self._head_stale = True
         soa.release_flow(flow)
 
     def _integrate(self, flow: Flow) -> None:
@@ -570,7 +607,8 @@ class FluidNetwork:
     # -- deferred rate recomputation ---------------------------------------------------
 
     def _flush_rates(self) -> None:
-        """Recompute rates for everything touched since the last flush.
+        """Recompute rates for everything touched since the last flush, then
+        re-arm the completion calendar.
 
         Registered as the engine's flush callback; also invoked directly by
         the rate-reading queries.  No-op when nothing is dirty.
@@ -589,7 +627,14 @@ class FluidNetwork:
         self._dirty_seeds = {}
         self._dirty_pre = set()
         self._dirty_flows = {}
+        self._reallocate(seeds, pre, dirty_flows)
+        self._rearm()
 
+    def _reallocate(
+        self, seeds: Dict[int, Link], pre: Set[int], dirty_flows: Dict[Flow, None]
+    ) -> None:
+        """Recompute the rates of every flow a batch of changes can affect."""
+        counters = self.counters
         if not self.incremental:
             flows = list(self._active)
             counters.waterfill_calls += 1
@@ -601,79 +646,90 @@ class FluidNetwork:
         slack = _CAPACITY_SLACK
         soa = self.soa
         pot = soa.lm_pot
-        seed_links = [
-            link
-            for lid, link in seeds.items()
-            if lid in pre or pot[lid] > link.capacity_bps + slack
-        ]
-        component = self._component(seed_links)
+        f_cap = soa.fm_cap
+
+        # One walk over the component's flows and their path links.  It
+        # grows the component breadth-first from the seed links across
+        # constraining links only, and, as each flow joins, numbers the
+        # constraining links it crosses in first-crossing order (the order
+        # the waterfill's tie-breaks depend on) and folds every other path
+        # capacity into the flow's ceiling.  Once the component is wide
+        # enough for the array path, which derives all of that from the
+        # store itself, the walk stops extracting and only grows it.
+        visited: Set[int] = set()
+        frontier: List[Link] = []
+        for lid, link in seeds.items():
+            if lid in pre or pot[lid] > link.capacity_bps + slack:
+                visited.add(lid)
+                frontier.append(link)
+        vec_min = self.VEC_MIN_COMPONENT if self.vectorized else _INF
+        component: Dict[Flow, None] = {}
+        constraint_links: List[Link] = []
+        link_pos: Dict[int, int] = {}
+        unfrozen_on: List[int] = []
+        caps: List[float] = []
+        flow_links: List[List[int]] = []
+        get_pos = link_pos.get
+        extract = True
+        while frontier:
+            next_frontier: List[Link] = []
+            for link in frontier:
+                for flow in link._flows:
+                    if flow in component:
+                        continue
+                    component[flow] = None
+                    if not extract:
+                        for lid, other in zip(flow._path_lids, flow.path):
+                            if lid not in visited and pot[lid] > other.capacity_bps + slack:
+                                visited.add(lid)
+                                next_frontier.append(other)
+                        continue
+                    cap = f_cap[flow._fid]
+                    indices: List[int] = []
+                    for lid, other in zip(flow._path_lids, flow.path):
+                        pos = get_pos(lid)
+                        if pos is None:
+                            capacity = other.capacity_bps
+                            if pot[lid] <= capacity + slack:
+                                if capacity < cap:
+                                    cap = capacity
+                                continue
+                            pos = link_pos[lid] = len(constraint_links)
+                            constraint_links.append(other)
+                            unfrozen_on.append(0)
+                            if lid not in visited:
+                                visited.add(lid)
+                                next_frontier.append(other)
+                        indices.append(pos)
+                        unfrozen_on[pos] += 1
+                    caps.append(cap)
+                    flow_links.append(indices)
+                    if len(caps) >= vec_min:
+                        extract = False
+            frontier = next_frontier
+        # Changed flows the walk did not reach: every link they cross is
+        # unconstrained (a constraining one would have been a seed, and the
+        # walk would have reached them through it).
         for flow in dirty_flows:
             if flow.state is FlowState.ACTIVE and flow not in component:
                 component[flow] = None
+                if extract:
+                    cap = f_cap[flow._fid]
+                    for link in flow.path:
+                        if link.capacity_bps < cap:
+                            cap = link.capacity_bps
+                    caps.append(cap)
+                    flow_links.append([])
         if not component:
             return
         flows = list(component)
         n = len(flows)
 
-        if self.vectorized and n >= self.VEC_MIN_COMPONENT:
+        if n >= vec_min:
             self._flush_component_vec(flows)
             return
 
-        # Which links can actually bind the component?
-        constraint_links: List[Link] = []
-        link_pos: Dict[int, int] = {}
-        for flow in flows:
-            path = flow.path
-            for i, lid in enumerate(flow._path_lids):
-                if lid not in link_pos:
-                    link = path[i]
-                    if pot[lid] > link.capacity_bps + slack:
-                        link_pos[lid] = len(constraint_links)
-                        constraint_links.append(link)
-
-        use_cache = n >= self.RATE_CACHE_MIN_FLOWS
-
-        # Per-flow ceilings (own cap folded with never-saturating path links),
-        # crossed-link index lists and, when caching, the structural signature.
-        f_cap = soa.fm_cap
-        caps: List[float] = []
-        flow_links: List[List[int]] = []
-        unfrozen_on = [0] * len(constraint_links)
-        structs: List[tuple] = []
-        get_pos = link_pos.get
-        for flow in flows:
-            cap = f_cap[flow._fid]
-            path = flow.path
-            lids = flow._path_lids
-            indices: List[int] = []
-            if use_cache:
-                crossed: List[int] = []
-                for i, lid in enumerate(lids):
-                    pos = get_pos(lid)
-                    if pos is not None:
-                        crossed.append(lid)
-                        indices.append(pos)
-                    else:
-                        capacity = path[i].capacity_bps
-                        if capacity < cap:
-                            cap = capacity
-                crossed.sort()
-                structs.append((tuple(crossed), cap))
-            else:
-                for i, lid in enumerate(lids):
-                    pos = get_pos(lid)
-                    if pos is not None:
-                        indices.append(pos)
-                    else:
-                        capacity = path[i].capacity_bps
-                        if capacity < cap:
-                            cap = capacity
-            for index in indices:
-                unfrozen_on[index] += 1
-            caps.append(cap)
-            flow_links.append(indices)
-
-        if not use_cache:
+        if n < self.RATE_CACHE_MIN_FLOWS:
             # Below the cache threshold: cache_hits/misses deliberately not
             # touched, so those counters measure cache traffic alone.
             counters.waterfill_calls += 1
@@ -683,6 +739,16 @@ class FluidNetwork:
             self._apply_rates(flows, rates)
             return
 
+        # The structural signature: which constraint links each flow crosses
+        # (sorted ids) and its ceiling, in a canonical flow order.
+        con_lids = [link._lid for link in constraint_links]
+        structs = []
+        for indices, cap in zip(flow_links, caps):
+            if len(indices) == 1:
+                crossed = (con_lids[indices[0]],)
+            else:
+                crossed = tuple(sorted([con_lids[pos] for pos in indices]))
+            structs.append((crossed, cap))
         order = sorted(range(n), key=structs.__getitem__)
         key = (
             tuple(sorted((link._lid, link.capacity_bps) for link in constraint_links)),
@@ -793,50 +859,38 @@ class FluidNetwork:
                 cache.popitem(last=False)
         self._apply_rates_vec(flows, fids, rates)
 
-    def _component(self, seed_links: List[Link]) -> Dict[Flow, None]:
-        component: Dict[Flow, None] = {}
-        visited = {link._lid for link in seed_links}
-        frontier = list(seed_links)
-        slack = _CAPACITY_SLACK
-        pot = self.soa.lm_pot
-        while frontier:
-            next_frontier: List[Link] = []
-            for link in frontier:
-                for flow in link._flows:
-                    if flow in component:
-                        continue
-                    component[flow] = None
-                    path = flow.path
-                    lids = flow._path_lids
-                    for i, lid in enumerate(lids):
-                        if lid not in visited:
-                            other = path[i]
-                            if pot[lid] > other.capacity_bps + slack:
-                                visited.add(lid)
-                                next_frontier.append(other)
-            frontier = next_frontier
-        return component
-
     def _apply_rates(self, flows: List[Flow], rates: List[float]) -> None:
+        """Store a component's new rates and update its calendar entries.
+
+        A flow whose rate changed is first integrated at its old rate, then
+        gets a fresh calendar entry; so does a bounded flow never armed
+        since its last rate change.  Every other flow keeps its entry: at a
+        constant rate the absolute completion time is unchanged.
+        """
         soa = self.soa
         f_rate = soa.fm_rate
         f_last = soa.fm_last
         f_delivered = soa.fm_delivered
-        now = self.engine.now
+        f_eta = soa.fm_eta
+        f_eseq = soa.fm_eseq
+        engine = self.engine
+        now = engine.now
         epsilon = RATE_EPSILON
+        head_fid = self._head_fid
+        best_eta = self._head_eta
+        best_seq = self._head_seq
+        best_fid = head_fid
+        rerated: List[Flow] = []
         for i, flow in enumerate(flows):
             new_rate = rates[i]
             fid = flow._fid
-            old_rate = f_rate[fid]
-            changed = (
-                new_rate - old_rate > epsilon or old_rate - new_rate > epsilon
-            )
-            if changed:
+            rate = f_rate[fid]
+            if new_rate - rate > epsilon or rate - new_rate > epsilon:
                 # Settle what was delivered at the old rate before switching
                 # (``_integrate``, inlined — this is the hottest loop).
                 dt = now - f_last[fid]
-                if dt > 0 and old_rate > 0:
-                    delivered = old_rate * dt / 8.0
+                if dt > 0 and rate > 0:
+                    delivered = rate * dt / 8.0
                     size = flow.size_bytes
                     if size is not None:
                         remaining = size - f_delivered[fid]
@@ -845,23 +899,48 @@ class FluidNetwork:
                     f_delivered[fid] += delivered
                     self.total_delivered_bytes += delivered
                 f_last[fid] = now
-                f_rate[fid] = new_rate
-                callback = flow.on_rate_change
-                if callback is not None:
-                    callback(flow)
-            # A flow whose rate did not change keeps its completion event:
-            # with a constant rate the absolute completion time is unchanged.
-            if changed or (flow.size_bytes is not None and flow._completion_event is None):
-                self._reschedule_completion(flow)
+                f_rate[fid] = rate = new_rate
+                if flow.owner is not None:
+                    rerated.append(flow)
+            elif f_eseq[fid] >= 0:
+                continue
+            size = flow.size_bytes
+            if size is None:
+                continue
+            if fid == head_fid:
+                self._head_stale = True
+            remaining = size - f_delivered[fid]
+            if remaining <= BYTES_EPSILON:
+                # Done at this very instant: complete from an event at
+                # ``now``, after the caller of the triggering operation.
+                eta = now
+            elif rate > epsilon:
+                eta = now + remaining * 8.0 / rate
+            else:
+                f_eta[fid] = _INF
+                f_eseq[fid] = -1
+                continue
+            seq = engine.reserve_seqs()
+            f_eta[fid] = eta
+            f_eseq[fid] = seq
+            if eta < best_eta:
+                best_eta = eta
+                best_seq = seq
+                best_fid = fid
+        self._head_eta = best_eta
+        self._head_seq = best_seq
+        self._head_fid = best_fid
+        if rerated:
+            for listener in self._rate_listeners:
+                listener(rerated)
 
     def _apply_rates_vec(self, flows: List[Flow], fids: np.ndarray, new_rates: np.ndarray) -> None:
-        """Array twin of :meth:`_apply_rates` (same order of effects).
+        """Array twin of :meth:`_apply_rates` (same effects, same order).
 
-        Integrations land first (in flow order, exactly as the scalar loop
-        interleaves them — nothing between two flows' integrations observes
-        intermediate state), then the per-flow callbacks and completion
-        rescheduling run in the same flow order, creating engine events in
-        the same sequence.
+        Integrations land in flow order, exactly as the scalar loop
+        interleaves them (nothing between two flows' integrations observes
+        intermediate state), and calendar sequence numbers are reserved as
+        one block handed out in flow order.
         """
         soa = self.soa
         old = soa.f_rate[fids]
@@ -884,53 +963,81 @@ class FluidNetwork:
             self.total_delivered_bytes = total
             soa.f_last[cf] = now
             soa.f_rate[cf] = new_rates[touched]
-        action = changed | ((soa.f_size[fids] != np.inf) & ~soa.f_event[fids])
-        if not action.any():
-            return
-        changed_list = changed.tolist()
-        for i in np.flatnonzero(action).tolist():
-            flow = flows[i]
-            if changed_list[i]:
-                callback = flow.on_rate_change
-                if callback is not None:
-                    callback(flow)
-            self._reschedule_completion(flow)
+        size = soa.f_size[fids]
+        bounded = size != np.inf
+        acted = np.flatnonzero(bounded & (changed | (soa.f_eseq[fids] < 0)))
+        if acted.size:
+            af = fids[acted]
+            if (af == self._head_fid).any():
+                self._head_stale = True
+            remaining = size[acted] - soa.f_delivered[af]
+            rate = soa.f_rate[af]
+            finished = remaining <= BYTES_EPSILON
+            moving = ~finished & (rate > RATE_EPSILON)
+            eta = np.full(acted.size, np.inf)
+            eta[finished] = now
+            eta[moving] = now + remaining[moving] * 8.0 / rate[moving]
+            armed = finished | moving
+            count = int(armed.sum())
+            seqs = np.full(acted.size, -1, dtype=np.int64)
+            if count:
+                first = self.engine.reserve_seqs(count)
+                seqs[armed] = np.arange(first, first + count, dtype=np.int64)
+            soa.f_eta[af] = eta
+            soa.f_eseq[af] = seqs
+            if count:
+                # First occurrence of the minimum ETA: the smallest seq.
+                best = int(eta.argmin())
+                best_eta = eta[best].item()
+                if best_eta < self._head_eta:
+                    self._head_eta = best_eta
+                    self._head_seq = int(seqs[best])
+                    self._head_fid = int(af[best])
+        if touched.size and self._rate_listeners:
+            rerated = [flows[i] for i in touched.tolist() if flows[i].owner is not None]
+            if rerated:
+                for listener in self._rate_listeners:
+                    listener(rerated)
 
-    def _reschedule_completion(self, flow: Flow) -> None:
-        event = flow._completion_event
-        if event is not None:
-            event.cancel()
-            flow._completion_event = None
-        size = flow.size_bytes
+    # -- completion calendar ------------------------------------------------------------
+
+    def _rearm(self) -> None:
+        """Keep the network's one engine event at the earliest calendar key."""
+        if self._head_stale:
+            self._head_stale = False
+            self._head_eta, self._head_seq, self._head_fid = self.soa.calendar_head()
+        eta = self._head_eta
+        armed = self._armed
+        if armed is not None:
+            if armed.time == eta and armed.seq == self._head_seq:
+                return
+            armed.cancel()
+            self._armed = None
+        if eta != _INF:
+            self._armed = self.engine.schedule_at_seq(eta, self._head_seq, self._fire_head)
+
+    def _fire_head(self) -> None:
+        """The calendar's engine event: complete the flow at its head."""
+        self._armed = None
         soa = self.soa
-        fid = flow._fid
-        if size is None or flow.state != FlowState.ACTIVE:
-            if fid >= 0:
-                soa.fm_event[fid] = False
-            return
-        remaining = size - soa.fm_delivered[fid]
-        if remaining <= BYTES_EPSILON:
-            # Completed exactly at this instant; finish via an immediate event
-            # so the caller of the triggering operation returns first.
-            flow._completion_event = self.engine.call_soon(self._complete, flow)
-            soa.fm_event[fid] = True
-            return
-        rate = soa.fm_rate[fid]
-        if rate > RATE_EPSILON:
-            eta = remaining * 8.0 / rate
-            flow._completion_event = self.engine.schedule_after(eta, self._complete, flow)
-            soa.fm_event[fid] = True
-        else:
-            soa.fm_event[fid] = False
+        fid = self._head_fid
+        flow = soa.f_views[fid]
+        # Consume the entry but keep its sequence number: if the completion
+        # bails below, only a rate change re-arms it.
+        soa.fm_eta[fid] = _INF
+        self._head_stale = True
+        self._complete(flow)
+        if not self._dirty:
+            # Nothing pending to flush (the completion bailed, or a rate
+            # query inside ``on_complete`` already flushed): re-arm now.
+            self._rearm()
 
     def _complete(self, flow: Flow) -> None:
-        if flow.state != FlowState.ACTIVE:
-            return
         self._integrate(flow)
-        remaining = (flow.size_bytes or 0.0) - flow.delivered_bytes
+        remaining = flow.size_bytes - flow.delivered_bytes
         if remaining > BYTES_EPSILON:
-            # Rates changed between scheduling and firing; the reallocation
-            # that changed them already rescheduled us, so just bail out.
+            # Float residue: integrating up to the ETA left more than
+            # BYTES_EPSILON to go.  The flow's next rate change re-arms it.
             return
         flow.delivered_bytes = float(flow.size_bytes)
         self._note_change(flow.path, flow._path_lids)

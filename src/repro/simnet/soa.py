@@ -8,7 +8,9 @@ preallocated, growable numpy arrays indexed by dense integer ids:
 
 * **flows** — rate, delivered bytes, last integration time, static bound,
   rate cap (``inf`` encodes "uncapped"), size (``inf`` encodes unbounded),
-  completion-event flag, and the path as a padded row of link ids;
+  the completion-calendar entry (ETA and engine sequence number, see
+  :class:`~repro.simnet.network.FluidNetwork`), the path as a padded row of
+  link ids, and the ``Flow`` object itself;
 * **links** — capacity and potential load (entry-group sums stay in a small
   per-link dict keyed by the entry's dense id: they are sparse per
   *(link, entry)* pair and never read by a vectorized pass, only the
@@ -80,9 +82,11 @@ class SoAStore:
         "f_bound",
         "f_cap",
         "f_size",
-        "f_event",
+        "f_eta",
+        "f_eseq",
         "f_path",
         "f_plen",
+        "f_views",
         "_flow_cap",
         "_flow_top",
         "_flow_free",
@@ -101,7 +105,8 @@ class SoAStore:
         "fm_bound",
         "fm_cap",
         "fm_size",
-        "fm_event",
+        "fm_eta",
+        "fm_eseq",
         "lm_pot",
         "cm_committed",
         "cm_consumed",
@@ -119,9 +124,15 @@ class SoAStore:
         self.f_bound = np.zeros(_FLOW_SEED)
         self.f_cap = np.zeros(_FLOW_SEED)
         self.f_size = np.zeros(_FLOW_SEED)
-        self.f_event = np.zeros(_FLOW_SEED, dtype=bool)
+        #: Completion calendar: a flow's ETA (``inf`` = no entry) and the
+        #: engine sequence number reserved for it (``-1`` = never armed since
+        #: the flow's rate last changed; an entry that fired keeps its number).
+        self.f_eta = np.full(_FLOW_SEED, _INF)
+        self.f_eseq = np.full(_FLOW_SEED, -1, dtype=np.int64)
         self.f_path = np.full((_FLOW_SEED, _PATH_SEED), -1, dtype=np.int64)
         self.f_plen = np.zeros(_FLOW_SEED, dtype=np.int64)
+        #: The ``Flow`` holding each live row (``None`` once released).
+        self.f_views: List[object] = [None] * _FLOW_SEED
 
         self.l_cap = np.zeros(_LINK_SEED)
         self.l_pot = np.zeros(_LINK_SEED)
@@ -150,7 +161,8 @@ class SoAStore:
         self.fm_bound = memoryview(self.f_bound)
         self.fm_cap = memoryview(self.f_cap)
         self.fm_size = memoryview(self.f_size)
-        self.fm_event = memoryview(self.f_event)
+        self.fm_eta = memoryview(self.f_eta)
+        self.fm_eseq = memoryview(self.f_eseq)
         self.lm_pot = memoryview(self.l_pot)
         self.cm_committed = memoryview(self.c_committed)
         self.cm_consumed = memoryview(self.c_consumed)
@@ -187,11 +199,13 @@ class SoAStore:
         self.f_bound = np.concatenate([self.f_bound, np.zeros(old)])
         self.f_cap = np.concatenate([self.f_cap, np.zeros(old)])
         self.f_size = np.concatenate([self.f_size, np.zeros(old)])
-        self.f_event = np.concatenate([self.f_event, np.zeros(old, dtype=bool)])
+        self.f_eta = np.concatenate([self.f_eta, np.full(old, _INF)])
+        self.f_eseq = np.concatenate([self.f_eseq, np.full(old, -1, dtype=np.int64)])
         self.f_path = np.concatenate(
             [self.f_path, np.full((old, self._path_width), -1, dtype=np.int64)]
         )
         self.f_plen = np.concatenate([self.f_plen, np.zeros(old, dtype=np.int64)])
+        self.f_views.extend([None] * old)
         self._flow_cap = new
         self._refresh_views()
 
@@ -223,11 +237,11 @@ class SoAStore:
         self.fm_cap[fid] = _INF if cap is None else cap
         size = flow.size_bytes
         self.fm_size[fid] = _INF if size is None else size
-        self.fm_event[fid] = flow._completion_event is not None
         row = self.f_path[fid]
         row[:n] = lids
         row[n:] = -1
         self.f_plen[fid] = n
+        self.f_views[fid] = flow
         flow._fid = fid
         return fid
 
@@ -241,7 +255,29 @@ class SoAStore:
         cap = self.fm_cap[fid]
         flow._scap = None if cap == _INF else cap
         flow._fid = -1
+        # A free row holds no calendar entry, so a scan over every row below
+        # the high-water mark sees only live entries.
+        self.fm_eta[fid] = _INF
+        self.fm_eseq[fid] = -1
+        self.f_views[fid] = None
         self._flow_free.append(fid)
+
+    def calendar_head(self) -> Tuple[float, int, int]:
+        """The earliest completion-calendar entry as ``(eta, seq, fid)``.
+
+        Entries compare by ``(eta, seq)``, like engine events; an empty
+        calendar gives ``(inf, -1, -1)``.
+        """
+        etas = self.f_eta[: self._flow_top]
+        if etas.size:
+            fid = int(etas.argmin())
+            eta = etas[fid].item()
+            if eta != _INF:
+                ties = np.flatnonzero(etas == eta)
+                if ties.size > 1:
+                    fid = int(ties[self.f_eseq[ties].argmin()])
+                return eta, self.fm_eseq[fid], fid
+        return _INF, -1, -1
 
     # -- payment channels -------------------------------------------------------
 

@@ -16,6 +16,17 @@ def test_parser_knows_all_commands():
         assert args.command == command
 
 
+def test_bench_help_names_every_pinned_case(capsys):
+    from repro.perf.bench import BENCH_CASES
+
+    with pytest.raises(SystemExit):
+        main(["bench", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    for case in BENCH_CASES:
+        assert case.name in text.replace("- ", "-")
+    assert f"{len(BENCH_CASES)} cases" in text
+
+
 def test_demo_command_prints_headline_metrics(capsys):
     exit_code = main(["demo", "--good", "2", "--bad", "2", "--capacity", "8",
                       "--duration", "6", "--seed", "1"])

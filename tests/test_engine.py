@@ -224,3 +224,57 @@ def test_compaction_preserves_firing_order():
             event.cancel()
     engine.run()
     assert observed == survivors
+
+
+# ---------------------------------------------------------------------------
+# Reserved sequence numbers and the work counters
+# ---------------------------------------------------------------------------
+
+
+def test_event_at_a_reserved_key_fires_where_schedule_at_would_have():
+    engine = Engine()
+    fired = []
+    engine.schedule_at(1.0, fired.append, "before")
+    seq = engine.reserve_seqs()
+    engine.schedule_at(1.0, fired.append, "after")
+    # Pushed last, but ordered by the key reserved between the other two.
+    engine.schedule_at_seq(1.0, seq, fired.append, "reserved")
+    engine.run()
+    assert fired == ["before", "reserved", "after"]
+
+
+def test_reserve_seqs_hands_out_a_consecutive_block():
+    engine = Engine()
+    first = engine.reserve_seqs(3)
+    fired = []
+    for offset in (2, 0, 1):
+        engine.schedule_at_seq(0.5, first + offset, fired.append, offset)
+    engine.schedule_at(0.5, fired.append, "later")
+    engine.run()
+    assert fired == [0, 1, 2, "later"]
+
+
+def test_schedule_at_seq_rejects_unreserved_keys_and_the_past():
+    engine = Engine()
+    with pytest.raises(SchedulingError):
+        engine.schedule_at_seq(1.0, 0, lambda: None)
+    seq = engine.reserve_seqs()
+    engine.schedule_at(2.0, lambda: None)
+    engine.run()
+    with pytest.raises(SchedulingError):
+        engine.schedule_at_seq(1.0, seq, lambda: None)
+
+
+def test_work_counters_count_pushes_and_cancellations_not_reservations():
+    engine = Engine()
+    events = [engine.schedule_at(float(i + 1), lambda: None) for i in range(4)]
+    engine.schedule_after(0.5, lambda: None)
+    engine.reserve_seqs(10)
+    events[0].cancel()
+    events[0].cancel()  # a second cancel is not a second cancellation
+    assert engine.events_scheduled == 5
+    assert engine.events_cancelled == 1
+    engine.run()
+    events[1].cancel()  # already fired: not a cancellation
+    assert engine.events_processed == 4
+    assert engine.events_cancelled == 1

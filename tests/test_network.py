@@ -249,3 +249,202 @@ def test_incremental_matches_global_on_200_flow_topologies(seed):
     counters = network.counters
     assert counters.cache_hits + counters.cache_misses > 0
     assert counters.flows_touched > 0
+
+
+# ---------------------------------------------------------------------------
+# The completion calendar
+# ---------------------------------------------------------------------------
+
+
+def _network_events(engine, network):
+    """Live engine events that belong to ``network``'s calendar."""
+    return [
+        event
+        for _time, _seq, event in engine._queue
+        if not event.cancelled and event.callback == network._fire_head
+    ]
+
+
+def test_bit_equal_etas_complete_in_reschedule_order():
+    engine, network, hosts, thinner = make_network()
+    done = []
+
+    def finished(name):
+        return lambda flow: done.append((name, engine.now))
+
+    first = network.send(
+        hosts[0], thinner, size_bytes=750_000, rate_cap_bps=1 * MBIT,
+        on_complete=finished("first"),
+    )
+    engine.run(until=1.0)
+    # 750 kB at the full 2 Mbit/s: due at 1 + 3 = 4.0 exactly.
+    network.send(hosts[1], thinner, size_bytes=750_000, on_complete=finished("second"))
+    engine.run(until=2.0)
+    # 500 kB left at 2 Mbit/s: re-armed at 2 + 2 = 4.0, after "second".
+    network.set_rate_cap(first, None)
+    engine.run(until=2.5)
+    # A short flow takes the head, so its completion leaves the tie at 4.0
+    # to a scan of the whole calendar.
+    network.send(hosts[2], thinner, size_bytes=100_000, on_complete=finished("short"))
+    engine.run(until=10.0)
+    assert done == [("short", pytest.approx(2.9)), ("second", 4.0), ("first", 4.0)]
+
+
+@pytest.mark.parametrize("armed_first", [False, True])
+def test_completion_and_unrelated_event_at_one_instant_keep_scheduling_order(armed_first):
+    engine, network, hosts, thinner = make_network()
+    fired = []
+    network.send(
+        hosts[0], thinner, size_bytes=1_000_000, on_complete=lambda f: fired.append("flow")
+    )
+    if armed_first:
+        # The flush that gives the flow its rate (and its calendar key)
+        # runs before the unrelated event is scheduled.
+        network.sync()
+    engine.schedule_at(4.0, fired.append, "other")
+    engine.run(until=10.0)
+    assert fired == (["flow", "other"] if armed_first else ["other", "flow"])
+
+
+def test_stopping_the_head_flow_rearms_at_the_next_entry():
+    engine, network, hosts, thinner = make_network()
+    done = []
+    head = network.send(hosts[0], thinner, size_bytes=1_000_000)
+    later = network.send(
+        hosts[1], thinner, size_bytes=1_500_000, on_complete=lambda f: done.append(engine.now)
+    )
+    network.sync()
+    (armed,) = _network_events(engine, network)
+    assert armed.time == 4.0
+    engine.run(until=1.0)
+    network.stop_flow(head)
+    network.sync()
+    (armed,) = _network_events(engine, network)
+    soa = network.soa
+    assert (armed.time, armed.seq) == (soa.fm_eta[later._fid], soa.fm_eseq[later._fid])
+    engine.run(until=10.0)
+    assert done == [6.0]
+    assert _network_events(engine, network) == []
+
+
+@pytest.mark.parametrize("vectorized", [False, True])
+def test_flush_that_skips_the_head_can_still_take_it_over(vectorized):
+    topology, hosts, thinner = build_lan(uniform_bandwidths(2, 2 * MBIT))
+    engine = Engine()
+    network = FluidNetwork(engine, topology, vectorized=vectorized)
+    network.VEC_MIN_COMPONENT = 2  # the two-flow uplink below takes the array path
+    done = []
+    network.send(hosts[0], thinner, size_bytes=1_000_000, on_complete=lambda f: done.append("head"))
+    network.sync()  # armed alone: the head, due at 4.0
+    network.send(hosts[1], thinner, size_bytes=10_000_000)
+    engine.run(until=1.0)
+    # Shares host 1's uplink with the 10 MB flow: 1 kB at 1 Mbit/s.
+    network.send(hosts[1], thinner, size_bytes=1_000, on_complete=lambda f: done.append(engine.now))
+    engine.run(until=10.0)
+    assert done == [pytest.approx(1.008), "head"]
+
+
+def test_completion_that_bails_is_not_rearmed_by_an_unchanged_rate():
+    engine, network, hosts, thinner = make_network()
+    done = []
+    flow = network.send(
+        hosts[0], thinner, size_bytes=1_000_000, on_complete=lambda f: done.append(engine.now)
+    )
+    other = network.send(
+        hosts[1], thinner, size_bytes=1_500_000, on_complete=lambda f: done.append(engine.now)
+    )
+    network.sync()
+    # Lose one byte, as float residue would: the ETA (4.0) fires with a byte
+    # still to go, and the completion bails.  The calendar moves on to the
+    # other flow, due at 6.0, without waiting for a flush.
+    network.soa.fm_delivered[flow._fid] -= 1.0
+    engine.run(until=7.0)
+    assert engine.events_processed == 2
+    assert done == [6.0] and other.state == FlowState.COMPLETED
+    assert flow.state == FlowState.ACTIVE
+    # A flush that recomputes the flow at the same rate leaves it unarmed.
+    network.set_rate_cap(flow, 10 * MBIT)
+    engine.run(until=8.0)
+    assert flow.rate_bps == 2 * MBIT
+    assert _network_events(engine, network) == []
+    assert done == [6.0]
+    # A rate change re-arms it: the last byte takes 8 us at 1 Mbit/s.
+    network.set_rate_cap(flow, 1 * MBIT)
+    engine.run(until=9.0)
+    assert done == [6.0, pytest.approx(8.0 + 8e-6)]
+    assert flow.state == FlowState.COMPLETED
+
+
+def test_rerated_owned_flows_reach_rate_listeners_once_per_flush():
+    engine, network, hosts, thinner = make_network()
+    batches = []
+    network.add_rate_listener(lambda flows: batches.append([f.label for f in flows]))
+    owned = [network.send(hosts[0], thinner, label=f"owned{i}") for i in range(2)]
+    for flow in owned:
+        flow.owner = object()
+    network.send(hosts[0], thinner, label="anonymous")
+    network.sync()
+    assert batches == [["owned0", "owned1"]]
+    network.stop_flow(owned[0])
+    network.sync()
+    assert batches == [["owned0", "owned1"], ["owned1"]]
+    network.sync()  # nothing dirty: no flush, no call
+    assert len(batches) == 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=3),  # start / stop / cap / advance
+            st.integers(min_value=0, max_value=3),  # which host (or flow)
+            st.integers(min_value=0, max_value=4),  # size or cap choice
+        ),
+        min_size=1,
+        max_size=30,
+    ),
+    st.booleans(),
+    st.sampled_from([3 * MBIT, 100 * MBIT]),
+)
+def test_armed_key_is_the_minimum_calendar_entry(operations, vectorized, thinner_bps):
+    """Property: after any start/stop/cap/advance sequence, the network's one
+    engine event sits at the minimum ``(eta, seq)`` over the active bounded
+    flows' calendar entries, and the engine never holds two of them.
+
+    A 3 Mbit/s thinner link ties every flow into one component; at 100
+    Mbit/s each client uplink is its own component, so most flushes leave
+    the head's entry alone."""
+    topology, hosts, thinner = build_lan(
+        [0.5 * MBIT, 1 * MBIT, 2 * MBIT, 2 * MBIT], thinner_bandwidth_bps=thinner_bps
+    )
+    engine = Engine()
+    network = FluidNetwork(engine, topology, vectorized=vectorized)
+    network.VEC_MIN_COMPONENT = 2  # drive the array path on tiny components
+    sizes = (None, 1_000, 50_000, 250_000, 1_000_000)
+    caps = (None, 0.1 * MBIT, 0.7 * MBIT, 1.5 * MBIT, 5 * MBIT)
+    flows = []
+    clock = 0.0
+    for action, which, choice in operations:
+        live = [flow for flow in flows if flow.is_active]
+        if action == 0:
+            flows.append(network.send(hosts[which], thinner, size_bytes=sizes[choice]))
+        elif action == 1 and live:
+            network.stop_flow(live[which % len(live)])
+        elif action == 2 and live:
+            network.set_rate_cap(live[which % len(live)], caps[choice])
+        else:
+            clock += 0.1 * (choice + 1)
+            engine.run(until=clock)
+        network.sync()
+        soa = network.soa
+        entries = [
+            (soa.fm_eta[flow._fid], soa.fm_eseq[flow._fid])
+            for flow in network.active_flows
+            if flow.is_bounded and soa.fm_eta[flow._fid] != float("inf")
+        ]
+        armed = _network_events(engine, network)
+        assert len(armed) <= 1
+        if entries:
+            assert [(armed[0].time, armed[0].seq)] == [min(entries)]
+        else:
+            assert armed == []

@@ -213,6 +213,19 @@ def test_quick_scale_bench_exercises_rate_cache():
     assert counters["contenders_scanned"] > 0
 
 
+@pytest.mark.parametrize("name", ["lan-small", "thinner-mega"])
+def test_quick_cases_push_at_most_two_events_per_processed_event(name):
+    """The completion calendar keeps one engine event per network, so a
+    re-rate no longer cancels and re-pushes a completion event per flow:
+    heap pushes stay within twice the events processed (they were 5x and
+    more with an engine event per flow)."""
+    case = next(c for c in BENCH_CASES if c.name == name)
+    measurement = run_case(case, quick=True)
+    counters = measurement.counters
+    assert 0 < counters["events_scheduled"] <= 2 * measurement.events
+    assert counters["events_cancelled"] < counters["events_scheduled"]
+
+
 def test_check_regression_flags_admission_work_growth():
     """The contenders-scanned-per-auction signal (the CI gate for the
     kinetic bid index) trips when admission work regresses toward O(n)."""
