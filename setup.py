@@ -2,13 +2,10 @@
 
 The project is fully described by ``pyproject.toml``; this file exists so
 that environments without the ``wheel`` package (where PEP 660 editable
-installs cannot build) can still do ``pip install -e . --no-use-pep517``.
+installs cannot build) can still install the package and its
+``speakup-repro`` command with ``python setup.py develop``.
 """
 
 from setuptools import setup
 
-setup(
-    # The struct-of-arrays fluid core (repro.simnet.soa) and the vectorized
-    # waterfill/bid-trajectory kernels are numpy-backed.
-    install_requires=["numpy>=1.22"],
-)
+setup()

@@ -404,15 +404,10 @@ class CampaignRunner:
     derives all randomness from its own seed.
     """
 
-    def __init__(
-        self,
-        jobs: int = 1,
-        start_method: Optional[str] = None,
-    ) -> None:
+    def __init__(self, jobs: int = 1) -> None:
         if jobs < 1:
             raise ExperimentError(f"jobs must be at least 1, got {jobs}")
         self.jobs = jobs
-        self.start_method = start_method
 
     def run(
         self,
@@ -465,7 +460,7 @@ class CampaignRunner:
             for worker in worker_ids:
                 _worker_main(directory, worker)
             return campaign_status(directory)
-        context = multiprocessing.get_context(self.start_method)
+        context = multiprocessing.get_context()
         pending = list(worker_ids)
         running: List[Tuple[int, Any]] = []
         while pending or running:

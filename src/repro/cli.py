@@ -24,7 +24,8 @@ Examples::
         --grid defense=speakup,none --replicates 3 --jobs 4 --out results.json
     speakup-repro bench            # run the pinned perf suite, append to
                                    # BENCH_speakup.json
-    speakup-repro bench --quick --check   # CI: fail on events/sec regression
+    speakup-repro bench --quick --check --check-signal work
+                                   # CI: fail on a work-counter regression
 """
 
 from __future__ import annotations

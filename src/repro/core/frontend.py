@@ -28,6 +28,7 @@ is byte-for-byte the historical single-thinner construction.
 from __future__ import annotations
 
 import gc
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Union
 
@@ -57,7 +58,6 @@ from repro.simnet.host import Host
 from repro.simnet.network import FluidNetwork
 from repro.simnet.tcp import SlowStartRamp
 from repro.simnet.topology import Topology
-from repro.simnet.trace import Tracer
 from repro.telemetry.spec import TelemetrySpec
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -113,8 +113,6 @@ class DeploymentConfig:
     service_jitter: float = SERVICE_TIME_JITTER
     #: Root seed for every random stream in the deployment.
     seed: int = 0
-    #: Collect a :class:`~repro.simnet.trace.Tracer` of flow/auction events.
-    enable_tracing: bool = False
     #: Bound on concurrent contenders (connection descriptors, §6); None = unbounded.
     max_contenders: Optional[int] = None
     #: Number of thinner front-end shards (§4.3 scale-out).  1 deploys the
@@ -162,20 +160,6 @@ class DeploymentConfig:
     telemetry: Optional[TelemetrySpec] = None
     #: Model TCP slow start on payment POSTs (disable for speed in huge sweeps).
     model_slow_start: bool = True
-    #: Use the struct-of-arrays vectorized recompute paths (large-component
-    #: waterfill, batch bid re-keys, bulk integration).  Bit-identical to the
-    #: per-object paths — set False only to exercise those directly (the
-    #: equivalence tests do) or to debug.
-    vectorized: bool = True
-    #: Pause Python's *cyclic* garbage collector while the event loop runs.
-    #: The loop allocates at a huge rate but almost entirely acyclically
-    #: (events, heap tuples, flows and index entries are freed by reference
-    #: counting; the few true cycles are broken explicitly on completion),
-    #: so the collector's periodic full-heap scans are pure overhead — ~40%
-    #: of wall-clock at the 50k-client bench scale.  Re-enabled (never
-    #: force-collected) as soon as ``run()`` returns; set False to keep the
-    #: collector running, e.g. when embedding in a larger application.
-    pause_gc_during_run: bool = True
 
     def defense_spec(self) -> "DefenseSpec":
         """The configured defense as a normalised :class:`DefenseSpec`."""
@@ -190,8 +174,10 @@ class DeploymentConfig:
 
     def validate(self) -> None:
         """Raise :class:`~repro.errors.ExperimentError` on nonsensical settings."""
-        if self.server_capacity_rps <= 0:
-            raise ExperimentError("server_capacity_rps must be positive")
+        if not 0 < self.server_capacity_rps < math.inf:
+            raise ExperimentError(
+                f"server_capacity_rps must be finite and positive, got {self.server_capacity_rps}"
+            )
         spec = self.defense_spec()
         try:
             defense = spec.create()
@@ -296,10 +282,7 @@ class Deployment:
 
         self.engine = Engine()
         self.streams = StreamFactory(self.config.seed)
-        self.tracer = Tracer() if self.config.enable_tracing else None
-        self.network = FluidNetwork(
-            self.engine, topology, tracer=self.tracer, vectorized=self.config.vectorized
-        )
+        self.network = FluidNetwork(self.engine, topology)
         self.slow_start = SlowStartRamp(self.network) if self.config.model_slow_start else None
 
         #: The rollup telemetry collector, or ``None`` in full mode.  Full
@@ -490,8 +473,8 @@ class Deployment:
 
     def run(self, duration: float) -> "Deployment":
         """Run the simulation for ``duration`` simulated seconds."""
-        if duration <= 0:
-            raise ExperimentError("duration must be positive")
+        if not 0 < duration < math.inf:
+            raise ExperimentError(f"duration must be finite and positive, got {duration}")
         until = self.engine.now + duration
         # Publish the horizon before starting clients so their initial
         # arrival pregeneration does not draw a whole batch past run end.
@@ -504,7 +487,14 @@ class Deployment:
             start = getattr(client, "start", None)
             if callable(start):
                 start()
-        pause_gc = self.config.pause_gc_during_run and gc.isenabled()
+        # Pause Python's *cyclic* garbage collector while the event loop
+        # runs.  The loop allocates at a huge rate but almost entirely
+        # acyclically (events, heap tuples, flows and index entries are freed
+        # by reference counting; the few true cycles are broken explicitly on
+        # completion), so the collector's periodic full-heap scans are pure
+        # overhead.  It is re-enabled, never force-collected, as soon as the
+        # loop returns, and left alone if the caller had already disabled it.
+        pause_gc = gc.isenabled()
         if pause_gc:
             gc.disable()
         try:

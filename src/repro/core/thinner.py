@@ -158,10 +158,7 @@ class ThinnerBase:
         #: by the ``_add_contender``/``_remove_contender`` pair and refreshed
         #: by payment-channel ``on_bid_change`` notifications and, once per
         #: rate flush, by the network's list of re-rated payment flows.
-        self._bid_index = KineticBidIndex(
-            self.counters,
-            store=network.soa if getattr(network, "vectorized", False) else None,
-        )
+        self._bid_index = KineticBidIndex(self.counters, store=network.soa)
         network.add_rate_listener(self._payments_rerated)
         self._next_seq = 0
         self._server_idle = True

@@ -16,6 +16,7 @@ ratio the paper cares about (demand vs. capacity, G vs. B) unchanged.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence
@@ -45,6 +46,12 @@ class ExperimentScale:
     duration: float = 60.0
     client_scale: float = 0.5
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        for name in ("duration", "client_scale"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ExperimentError(f"{name} must be finite and positive, got {value}")
 
     @classmethod
     def test(cls, seed: int = 0) -> "ExperimentScale":

@@ -394,10 +394,19 @@ class ScenarioSpec:
         self.topology.validate()
         for group in self.groups:
             group.validate()
-        if self.capacity_rps <= 0:
-            raise ExperimentError("capacity_rps must be positive")
-        if self.duration <= 0:
-            raise ExperimentError("duration must be positive")
+        if not 0 < self.capacity_rps < math.inf:
+            raise ExperimentError(
+                f"capacity_rps must be finite and positive, got {self.capacity_rps}"
+            )
+        if not 0 < self.duration < math.inf:
+            raise ExperimentError(f"duration must be finite and positive, got {self.duration}")
+        own = self._config_fields()
+        overridable = [f.name for f in fields(DeploymentConfig) if f.name not in own]
+        for key, _value in self.config_overrides:
+            if key not in overridable:
+                raise ExperimentError(
+                    f"unknown config_overrides key {key!r}; expected one of {overridable}"
+                )
         try:
             if self.defense_spec is not None:
                 normalise_defense(self.defense_spec).validate()
@@ -504,8 +513,9 @@ class ScenarioSpec:
 
     # -- building and running ------------------------------------------------------
 
-    def deployment_config(self) -> DeploymentConfig:
-        return DeploymentConfig(
+    def _config_fields(self) -> Dict[str, Any]:
+        """The :class:`DeploymentConfig` fields the spec sets itself."""
+        return dict(
             server_capacity_rps=self.capacity_rps,
             defense=self.defense_spec if self.defense_spec is not None else self.defense,
             seed=self.seed,
@@ -517,8 +527,10 @@ class ScenarioSpec:
             fault_plan=self.fault_plan,
             health_probe=self.health_probe,
             telemetry=self.telemetry,
-            **dict(self.config_overrides),
         )
+
+    def deployment_config(self) -> DeploymentConfig:
+        return DeploymentConfig(**self._config_fields(), **dict(self.config_overrides))
 
     def build(self) -> Deployment:
         """Materialise the scenario: topology, deployment, and population."""

@@ -56,9 +56,8 @@ grows the component and extracts what the scalar waterfill needs (the
 constraint links in first-crossing order, each flow's ceiling and crossed
 links); a component wide enough for the array path skips the extraction.
 The brute-force global computation
-(:func:`repro.simnet.bandwidth.max_min_fair_rates`) remains available both
-as a reference for the property-based tests and as an ``incremental=False``
-escape hatch.
+(:func:`repro.simnet.bandwidth.max_min_fair_rates`) is the reference the
+property-based tests check this against.
 
 Steady-state traffic recomputes the *same* component shapes over and over
 (one more identical payment POST on an otherwise unchanged uplink), so the
@@ -72,13 +71,14 @@ Since the struct-of-arrays refactor the hot numeric state (flow rates, caps
 and paths; link capacities and potential loads; payment counters) lives in a
 :class:`~repro.simnet.soa.SoAStore` owned by the network, with the
 ``Flow``/``Link`` objects as thin views.  The flush then has two
-bit-identical implementations: the historical per-object loops (always used
-below :attr:`FluidNetwork.VEC_MIN_COMPONENT` flows, or everywhere when
-``vectorized=False``), and an array path that recomputes a large component
-with numpy segment operations (:meth:`_flush_component_vec`).  Both produce
-the same rates, the same event stream and the same counters; the split
-exists purely because numpy's per-call overhead loses to plain Python on
-the small components that dominate steady state.
+bit-identical implementations, chosen by component size alone: the
+per-object loops below :attr:`FluidNetwork.VEC_MIN_COMPONENT` flows, and an
+array path that recomputes a wider component with numpy segment operations
+(:meth:`_flush_component_vec`).  Both produce the same rates, the same event
+stream and the same counters; the split exists purely because numpy's
+per-call overhead loses to plain Python on the small components that
+dominate steady state.  (The equivalence tests pin the scalar path by
+raising the class thresholds to infinity.)
 
 Propagation delays are *not* folded into byte accounting — they are exposed
 via :meth:`FluidNetwork.rtt` and the higher layers (thinner, clients, HTTP
@@ -95,14 +95,13 @@ import numpy as np
 
 from repro.errors import FlowError
 from repro.perf.counters import SimCounters
-from repro.simnet.bandwidth import RATE_EPSILON, max_min_fair_rates, waterfill_lists
+from repro.simnet.bandwidth import RATE_EPSILON, waterfill_lists
 from repro.simnet.engine import Engine, Event
 from repro.simnet.flow import Flow, FlowState
 from repro.simnet.host import Host
 from repro.simnet.link import Link
 from repro.simnet.soa import SoAStore, waterfill_arrays
 from repro.simnet.topology import Topology
-from repro.simnet.trace import Tracer
 
 #: Completion is declared when fewer than this many bytes remain; guards
 #: against floating-point residue keeping a flow alive forever.
@@ -130,34 +129,18 @@ class FluidNetwork:
     #: bends — wide components recomputed repeatedly in steady state.
     RATE_CACHE_MIN_FLOWS = 16
 
-    #: Components at least this wide take the vectorized recompute path
-    #: (when ``vectorized=True``); below it, numpy call overhead loses to
-    #: the plain loops.  Both paths are bit-identical, so this is purely a
-    #: performance knob.
+    #: Components at least this wide take the vectorized recompute path;
+    #: below it, numpy call overhead loses to the plain loops.  Both paths
+    #: are bit-identical, so this is purely a performance knob.
     VEC_MIN_COMPONENT = 64
 
     #: :meth:`sync` integrates the whole active set in one array pass at or
     #: above this many flows.
     VEC_MIN_SYNC = 512
 
-    def __init__(
-        self,
-        engine: Engine,
-        topology: Topology,
-        tracer: Optional[Tracer] = None,
-        incremental: bool = True,
-        vectorized: bool = True,
-    ) -> None:
+    def __init__(self, engine: Engine, topology: Topology) -> None:
         self.engine = engine
         self.topology = topology
-        self.tracer = tracer
-        #: When False, every change triggers a global recomputation (slower,
-        #: used as a cross-check in tests).
-        self.incremental = incremental
-        #: When False, the array-based recompute paths are disabled and the
-        #: historical per-object loops run everywhere (the "object path" the
-        #: equivalence tests drive); results are bit-identical either way.
-        self.vectorized = vectorized
 
         #: The struct-of-arrays store backing flows, links and channels.
         self.soa = SoAStore()
@@ -276,16 +259,6 @@ class FluidNetwork:
         lids = self._ensure_path_lids(flow)
         self._note_change(flow.path, lids, flow)
         self._attach(flow, lids)
-        if self.tracer is not None:
-            self.tracer.record(
-                "flow_start",
-                time=self.engine.now,
-                flow_id=flow.flow_id,
-                label=flow.label,
-                src=flow.src.name,
-                dst=flow.dst.name,
-                size=flow.size_bytes,
-            )
         return flow
 
     def send(
@@ -320,14 +293,6 @@ class FluidNetwork:
         self._note_change(flow.path, flow._path_lids)
         self._detach(flow, FlowState.STOPPED)
         self.stopped_flows += 1
-        if self.tracer is not None:
-            self.tracer.record(
-                "flow_stop",
-                time=self.engine.now,
-                flow_id=flow.flow_id,
-                label=flow.label,
-                delivered=flow.delivered_bytes,
-            )
         return flow.delivered_bytes
 
     def set_rate_cap(self, flow: Flow, rate_cap_bps: Optional[float]) -> None:
@@ -448,7 +413,7 @@ class FluidNetwork:
         ``delivered_bytes`` up to the current time."""
         self._flush_rates()
         active = self._active
-        if self.vectorized and len(active) >= self.VEC_MIN_SYNC:
+        if len(active) >= self.VEC_MIN_SYNC:
             self._integrate_all_vec()
         else:
             for flow in active:
@@ -635,14 +600,6 @@ class FluidNetwork:
     ) -> None:
         """Recompute the rates of every flow a batch of changes can affect."""
         counters = self.counters
-        if not self.incremental:
-            flows = list(self._active)
-            counters.waterfill_calls += 1
-            counters.flows_touched += len(flows)
-            rates_map = max_min_fair_rates(flows)
-            self._apply_rates(flows, [rates_map.get(flow, 0.0) for flow in flows])
-            return
-
         slack = _CAPACITY_SLACK
         soa = self.soa
         pot = soa.lm_pot
@@ -662,7 +619,7 @@ class FluidNetwork:
             if lid in pre or pot[lid] > link.capacity_bps + slack:
                 visited.add(lid)
                 frontier.append(link)
-        vec_min = self.VEC_MIN_COMPONENT if self.vectorized else _INF
+        vec_min = self.VEC_MIN_COMPONENT
         component: Dict[Flow, None] = {}
         constraint_links: List[Link] = []
         link_pos: Dict[int, int] = {}
@@ -1043,14 +1000,6 @@ class FluidNetwork:
         self._note_change(flow.path, flow._path_lids)
         self._detach(flow, FlowState.COMPLETED)
         self.completed_flows += 1
-        if self.tracer is not None:
-            self.tracer.record(
-                "flow_complete",
-                time=self.engine.now,
-                flow_id=flow.flow_id,
-                label=flow.label,
-                delivered=flow.delivered_bytes,
-            )
         if flow.on_complete is not None:
             flow.on_complete(flow)
 

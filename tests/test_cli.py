@@ -200,6 +200,34 @@ def test_bad_numeric_arguments_exit_cleanly(capsys):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["figure2", "--duration", "{}"],
+        ["figure2", "--client-scale", "{}"],
+        ["demo", "--duration", "{}"],
+        ["demo", "--capacity", "{}"],
+        ["sweep", "--set", "duration={}"],
+        ["sweep", "--set", "capacity_rps={}"],
+    ],
+    ids=lambda argv: " ".join(argv).replace(" {}", "").replace("={}", ""),
+)
+def test_non_finite_and_non_positive_sizes_fail_validation(argv, value, capsys, monkeypatch):
+    """NaN, infinite, zero and negative sizes are refused with one line,
+    before any engine runs (a NaN or infinite horizon would never end)."""
+    from repro.simnet.engine import Engine
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("an engine ran before validation")
+
+    monkeypatch.setattr(Engine, "run", refuse)
+    assert main([part.format(value) for part in argv]) == 2
+    captured = capsys.readouterr()
+    assert "must be finite and positive" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_sweep_rejects_unknown_scenario_and_bad_grid(capsys):
     assert main(["sweep", "--scenario", "no-such-scenario"]) == 2
     assert "unknown scenario" in capsys.readouterr().err

@@ -96,12 +96,24 @@ def test_client_streams_are_distinct_per_name():
     assert deployment.client_stream("client-a") is a
 
 
+def test_gc_paused_during_run_and_reenabled_after():
+    """``run`` pauses the cyclic GC around the engine loop, then restores it."""
+    import gc
+
+    deployment, _hosts = build()
+    seen = []
+    deployment.engine.schedule_after(0.5, lambda: seen.append(gc.isenabled()))
+    assert gc.isenabled()
+    deployment.run(1.0)
+    assert seen == [False], "the engine loop ran with the cyclic GC enabled"
+    assert gc.isenabled(), "a normal run must leave the GC enabled"
+
+
 def test_gc_reenabled_even_when_run_raises():
     """``run`` pauses GC around the engine loop but must restore it on error."""
     import gc
 
     deployment, _hosts = build()
-    assert deployment.config.pause_gc_during_run
 
     boom = RuntimeError("engine exploded")
 

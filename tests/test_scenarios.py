@@ -163,6 +163,23 @@ def test_spec_from_dict_accepts_mapping_overrides():
     assert spec.groups[0] == GroupSpec(count=1)
 
 
+@pytest.mark.parametrize("key", ["vectorized", "no_such_knob", "seed"])
+def test_spec_rejects_unknown_config_overrides_with_one_line(key):
+    """A key that is no overridable ``DeploymentConfig`` field (a removed
+    switch, a typo, or a field the spec sets itself) is named, with the
+    valid fields listed — not a raw ``TypeError`` from the constructor."""
+    spec = ScenarioSpec.from_dict({
+        "groups": [{"count": 1}],
+        "config_overrides": {key: False},
+    })
+    with pytest.raises(ExperimentError, match=repr(key)) as excinfo:
+        spec.validate()
+    message = str(excinfo.value)
+    assert "model_slow_start" in message and "\n" not in message
+    with pytest.raises(ExperimentError):
+        spec.run()
+
+
 def test_spec_validation_rejects_nonsense():
     with pytest.raises(ExperimentError):
         _small_lan_spec(capacity_rps=0.0).validate()

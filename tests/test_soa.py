@@ -1,42 +1,78 @@
 """Struct-of-arrays equivalence: the vectorized paths change nothing but speed.
 
 The fluid network keeps every flow/link/channel scalar in a
-:class:`~repro.simnet.soa.SoAStore` and picks, per component (and per dirty
-batch in the kinetic bid index), between a scalar index-based path and a
-vectorized numpy path.  ``DeploymentConfig.vectorized`` pins the choice for a
-whole run, which gives an end-to-end property: the same scenario run both
-ways must produce bit-identical rates, auction outcomes, and counters.
+:class:`~repro.simnet.soa.SoAStore` and picks, by size alone, between a
+scalar index-based path and a vectorized numpy path: per component
+(:attr:`FluidNetwork.VEC_MIN_COMPONENT`), per bulk integration
+(:attr:`FluidNetwork.VEC_MIN_SYNC`) and per dirty batch in the kinetic bid
+index (:attr:`KineticBidIndex.VEC_MIN_DIRTY`).  Raising those three class
+thresholds to infinity pins the scalar path for a whole run, which gives an
+end-to-end property: the same scenario run both ways must produce
+bit-identical rates, auction outcomes, and counters.  Each scalar run also
+checks that it never entered an array path.
 """
 
-import dataclasses
+import math
 import random
 
 import pytest
 
+from repro.core.bidindex import KineticBidIndex
 from repro.scenarios.registry import build_scenario
-from repro.scenarios.spec import freeze_overrides
+from repro.simnet.network import FluidNetwork
 from repro.simnet.soa import SoAStore
 
+#: The size thresholds that choose between the scalar and array paths.
+_VEC_THRESHOLDS = (
+    (FluidNetwork, "VEC_MIN_COMPONENT"),
+    (FluidNetwork, "VEC_MIN_SYNC"),
+    (KineticBidIndex, "VEC_MIN_DIRTY"),
+)
 
-def _run(spec, vectorized, vec_component_sizes=None):
-    spec = dataclasses.replace(
-        spec, config_overrides=freeze_overrides({"vectorized": vectorized})
-    )
-    deployment = spec.build()
-    assert deployment.network.vectorized is vectorized
-    if vec_component_sizes is not None:
-        # Observe (without altering) every array-path flush: record the
-        # component width, then delegate to the real implementation.
-        inner = deployment.network._flush_component_vec
 
-        def _spy(flows):
-            vec_component_sizes.append(len(flows))
-            return inner(flows)
+def _run(spec, scalar, changes=()):
+    """Run ``spec`` down the scalar path (``scalar=True``) or the default one.
 
-        deployment.network._flush_component_vec = _spy
-    deployment.run(spec.duration)
-    result = deployment.results()
-    network = deployment.network
+    ``changes`` is a list of ``(at_s, factor)`` pairs; each one scales both
+    directions of the thinner host's access link through
+    ``Link.set_capacity_factor`` — the same entry point the gray-failure
+    ``degrade`` fault uses — so every waterfill after it sees a different
+    capacity vector than the one the flows were admitted under.
+    """
+    vec_component_sizes = []
+    trajectory_batches = []
+    flush_vec = FluidNetwork._flush_component_vec
+    bid_trajectories = SoAStore.bid_trajectories
+
+    # Observe (without altering) every array-path call: record its width,
+    # then delegate to the real implementation.
+    def _flush_spy(network, flows):
+        vec_component_sizes.append(len(flows))
+        return flush_vec(network, flows)
+
+    def _trajectory_spy(store, cids, now):
+        trajectory_batches.append(len(cids))
+        return bid_trajectories(store, cids, now)
+
+    with pytest.MonkeyPatch.context() as patch:
+        if scalar:
+            for owner, name in _VEC_THRESHOLDS:
+                patch.setattr(owner, name, math.inf)
+        patch.setattr(FluidNetwork, "_flush_component_vec", _flush_spy)
+        patch.setattr(SoAStore, "bid_trajectories", _trajectory_spy)
+        deployment = spec.build()
+        network = deployment.network
+        host = deployment.thinner_hosts[0]
+        for at_s, factor in changes:
+            for link in (host.access.up, host.access.down):
+                deployment.engine.schedule_at(
+                    at_s,
+                    lambda link=link, factor=factor: link.set_capacity_factor(
+                        factor, network=network
+                    ),
+                )
+        deployment.run(spec.duration)
+        result = deployment.results()
     # ``label`` embeds a globally increasing request id, which keeps counting
     # across the two in-process runs — compare the kind, not the id.
     flows = sorted(
@@ -49,7 +85,18 @@ def _run(spec, vectorized, vec_component_sizes=None):
         "good_allocation": result.good_allocation,
         "total_delivered": network.total_delivered_bytes,
         "flows": flows,
+        "vec_component_sizes": vec_component_sizes,
+        "trajectory_batches": trajectory_batches,
     }
+
+
+def _assert_identical(scalar, vector):
+    assert scalar["vec_component_sizes"] == [], "the scalar run took the array waterfill"
+    assert scalar["trajectory_batches"] == [], "the scalar run took the array bid re-key"
+    assert vector["vec_component_sizes"], "no component reached the array waterfill"
+    assert vector["trajectory_batches"], "no dirty batch reached the array bid re-key"
+    for key in ("counters", "served", "good_allocation", "total_delivered", "flows"):
+        assert scalar[key] == vector[key], key
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -72,8 +119,8 @@ def test_vectorized_and_scalar_paths_are_bit_identical(seed):
         duration=0.1,
         seed=seed,
     )
-    scalar = _run(spec, vectorized=False)
-    vector = _run(spec, vectorized=True)
+    scalar = _run(spec, scalar=True)
+    vector = _run(spec, scalar=False)
 
     # The run must actually have driven wide components down the array path.
     counters = vector["counters"]
@@ -83,11 +130,7 @@ def test_vectorized_and_scalar_paths_are_bit_identical(seed):
         counters["flows_touched"] / counters["waterfill_calls"] >= 64
     ), "components never reached the vectorized threshold"
 
-    assert scalar["counters"] == vector["counters"]
-    assert scalar["served"] == vector["served"]
-    assert scalar["good_allocation"] == vector["good_allocation"]
-    assert scalar["total_delivered"] == vector["total_delivered"]
-    assert scalar["flows"] == vector["flows"]
+    _assert_identical(scalar, vector)
 
 
 @pytest.mark.parametrize("seed", [21, 22, 23])
@@ -116,61 +159,18 @@ def test_fat_tree_components_are_identical_down_both_paths(seed):
         duration=0.1,
         seed=seed,
     )
-    vec_component_sizes = []
-    scalar = _run(spec, vectorized=False)
-    vector = _run(spec, vectorized=True, vec_component_sizes=vec_component_sizes)
+    scalar = _run(spec, scalar=True)
+    vector = _run(spec, scalar=False)
+    vec_component_sizes = vector["vec_component_sizes"]
 
     # The run must actually have pushed multi-level fabric components down
     # the array path (unlike soa-mega, a fabric mixes wide converging
     # components with many narrow same-edge ones, so the *average* size is
     # meaningless — count the vectorized flushes themselves).
-    assert len(vec_component_sizes) > 0, "no component reached the array path"
     assert max(vec_component_sizes) >= 64
     assert vector["counters"]["flows_touched"] >= 500
 
-    assert scalar["counters"] == vector["counters"]
-    assert scalar["served"] == vector["served"]
-    assert scalar["good_allocation"] == vector["good_allocation"]
-    assert scalar["total_delivered"] == vector["total_delivered"]
-    assert scalar["flows"] == vector["flows"]
-
-
-def _run_with_capacity_changes(spec, vectorized, changes):
-    """Like :func:`_run`, but rescale thinner access capacity mid-run.
-
-    ``changes`` is a list of ``(at_s, factor)`` pairs; each one scales both
-    directions of the thinner host's access link through
-    ``Link.set_capacity_factor`` — the same entry point the gray-failure
-    ``degrade`` fault uses — so every waterfill after it sees a different
-    capacity vector than the one the flows were admitted under.
-    """
-    spec = dataclasses.replace(
-        spec, config_overrides=freeze_overrides({"vectorized": vectorized})
-    )
-    deployment = spec.build()
-    network = deployment.network
-    host = deployment.thinner_hosts[0]
-    for at_s, factor in changes:
-        for link in (host.access.up, host.access.down):
-            deployment.engine.schedule_at(
-                at_s,
-                lambda link=link, factor=factor: link.set_capacity_factor(
-                    factor, network=network
-                ),
-            )
-    deployment.run(spec.duration)
-    result = deployment.results()
-    flows = sorted(
-        (flow.label.split(":")[0], flow.state.value, flow.rate_bps, flow.delivered_bytes)
-        for flow in network._active
-    )
-    return {
-        "counters": network.counters.snapshot(),
-        "served": result.total_served,
-        "good_allocation": result.good_allocation,
-        "total_delivered": network.total_delivered_bytes,
-        "flows": flows,
-    }
+    _assert_identical(scalar, vector)
 
 
 @pytest.mark.parametrize("seed", [11, 12, 13])
@@ -197,18 +197,14 @@ def test_capacity_changes_keep_scalar_and_vector_paths_identical(seed):
         (round(rng.uniform(0.01, 0.09), 4), round(rng.uniform(0.3, 1.0), 3))
         for _ in range(rng.randint(3, 5))
     )
-    scalar = _run_with_capacity_changes(spec, False, changes)
-    vector = _run_with_capacity_changes(spec, True, changes)
+    scalar = _run(spec, scalar=True, changes=changes)
+    vector = _run(spec, scalar=False, changes=changes)
 
     counters = vector["counters"]
     assert counters["waterfill_calls"] > 0
     assert counters["flows_touched"] >= 500
 
-    assert scalar["counters"] == vector["counters"]
-    assert scalar["served"] == vector["served"]
-    assert scalar["good_allocation"] == vector["good_allocation"]
-    assert scalar["total_delivered"] == vector["total_delivered"]
-    assert scalar["flows"] == vector["flows"]
+    _assert_identical(scalar, vector)
 
 
 def _tiny_net():
